@@ -14,13 +14,21 @@
 //!   dispatcher is O(groups) per dispatch, so the baseline only runs up
 //!   to n=10^5 — which is where the speedup gate applies.
 //!
+//! A third row, **faults**, runs the fault-free leg of the resilience
+//! arm on the same workload: [`rds_sim::ResilienceEngine::run_in`] with
+//! an empty fault script, a warm arena and the indexed dispatcher
+//! rewound between trials — the cost every `rds resilience` cell pays
+//! for its baseline.
+//!
 //! Gates (the tentpole's acceptance criteria):
 //!
 //! - per-event cost at the largest size ≤ 2× the n=10^3 cost
 //!   (near-linear total cost in event count);
 //! - hot-path trials/sec ≥ 3× the heap baseline at the largest
 //!   baseline size;
-//! - both paths produce bit-identical makespan sums per size
+//! - faults-row per-event cost at n=10^5 ≤ 3× its n=10^3 cost (the
+//!   resilience loop stays amortized O(1) per event);
+//! - all three paths produce bit-identical makespan sums per size
 //!   (end-to-end schedule identity, backing the differential proptests).
 //!
 //! Emits machine-readable JSON (default `BENCH_9.json`, override with
@@ -30,7 +38,8 @@
 
 use rds_bench::{arg_value, header, quick_mode};
 use rds_core::{Instance, MachineSet, Placement, Realization, TaskId, Uncertainty};
-use rds_sim::{Engine, OrderedDispatcher, QueueMode, SimArena};
+use rds_sim::faults::{FaultScript, ResilienceEngine};
+use rds_sim::{Dispatcher, Engine, OrderedDispatcher, QueueMode, SimArena};
 use rds_workloads::realize::RealizationModel;
 use rds_workloads::{rng, EstimateDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -163,6 +172,94 @@ fn run_hot(w: &Workload) -> Measured {
     }
 }
 
+/// One size's faults-row state: a warm arena and one indexed dispatcher,
+/// rewound before every trial.
+struct FaultsRow<'w> {
+    w: &'w Workload,
+    arena: SimArena,
+    d: OrderedDispatcher,
+    passes: Vec<Measured>,
+}
+
+impl<'w> FaultsRow<'w> {
+    /// The row with one warmup pass run, as on the hot path.
+    fn new(w: &'w Workload) -> Self {
+        let mut row = FaultsRow {
+            w,
+            arena: SimArena::new(),
+            d: OrderedDispatcher::auto(w.order.clone(), &w.placement),
+            passes: Vec::new(),
+        };
+        for real in &w.realizations {
+            row.trial(real);
+        }
+        row
+    }
+
+    /// The resilience arm's fault-free leg on one realization: returns
+    /// (events, makespan).
+    fn trial(&mut self, real: &Realization) -> (u64, f64) {
+        let w = self.w;
+        let empty = FaultScript::empty();
+        let engine =
+            ResilienceEngine::new(&w.instance, &w.placement, real, &empty).expect("engine");
+        assert!(self.d.rewind(), "the ordered dispatcher rewinds");
+        let report = engine
+            .run_in(&mut self.arena, &mut self.d)
+            .expect("faults run");
+        assert!(report.outcome.is_completed());
+        (report.trace.len() as u64, report.metrics.makespan.get())
+    }
+
+    /// One timed pass over every realization.
+    fn pass(&mut self) {
+        let w = self.w;
+        let t0 = Instant::now();
+        let a0 = allocs();
+        let mut events = 0u64;
+        let mut makespan_sum = 0.0f64;
+        for real in &w.realizations {
+            let (e, makespan) = self.trial(real);
+            events += e;
+            makespan_sum += makespan;
+        }
+        let seconds = t0.elapsed().as_secs_f64();
+        let trials = w.realizations.len() as f64;
+        self.passes.push(Measured {
+            seconds,
+            trials_per_sec: trials / seconds,
+            per_event_ns: seconds * 1e9 / events as f64,
+            allocs_per_trial: (allocs() - a0) as f64 / trials,
+            makespan_sum,
+            events,
+        });
+    }
+
+    /// The median pass by wall time.
+    fn median(mut self) -> Measured {
+        self.passes.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+        self.passes[self.passes.len() / 2]
+    }
+}
+
+/// The faults row at every size: the median of [`FAULTS_PASSES`] timed
+/// passes per size, interleaved across sizes. The drift gate divides two
+/// sizes' costs; interleaving exposes both to the same phases of other
+/// load on the host, and the median drops the passes a burst of that
+/// load disturbed.
+fn run_faults(workloads: &[Workload]) -> Vec<Measured> {
+    let mut rows: Vec<FaultsRow> = workloads.iter().map(FaultsRow::new).collect();
+    for _ in 0..FAULTS_PASSES {
+        for row in &mut rows {
+            row.pass();
+        }
+    }
+    rows.into_iter().map(FaultsRow::median).collect()
+}
+
+/// Timed passes per size on the faults row.
+const FAULTS_PASSES: usize = 7;
+
 /// The pre-refactor trial loop: fresh arena and scan dispatcher per
 /// trial, event queue pinned to the binary heap.
 fn run_heap_baseline(w: &Workload) -> Measured {
@@ -210,7 +307,7 @@ fn main() {
     const BASELINE_MAX_N: usize = 100_000;
 
     let mut rows = Vec::new();
-    let mut entries = Vec::new();
+    let mut workloads = Vec::new();
     for &(n, m, trials) in sizes {
         let w = build_workload(n, m, trials, 0x0005_EED9);
         let hot = run_hot(&w);
@@ -237,7 +334,23 @@ fn main() {
                 _ => String::from("  | heap baseline skipped"),
             }
         );
-        let base_json = match &base {
+        workloads.push(w);
+        rows.push((n, m, trials, hot, base, speedup));
+    }
+    let faults = run_faults(&workloads);
+
+    let mut entries = Vec::new();
+    for ((n, m, trials, hot, base, speedup), faults) in rows.iter().zip(&faults) {
+        assert_eq!(
+            hot.makespan_sum.to_bits(),
+            faults.makespan_sum.to_bits(),
+            "hot and faults paths diverged at n={n}"
+        );
+        println!(
+            "n={n:>8}: faults {:>7.1} ns/event  {:>9.1} trials/s (median of {FAULTS_PASSES})",
+            faults.per_event_ns, faults.trials_per_sec
+        );
+        let base_json = match base {
             Some(b) => format!(
                 concat!(
                     "{{\n",
@@ -264,6 +377,11 @@ fn main() {
                 "        \"per_event_ns\": {h_pen:.2},\n",
                 "        \"steady_allocs_per_trial\": {h_apt:.2}\n",
                 "      }},\n",
+                "      \"faults\": {{\n",
+                "        \"seconds\": {f_sec:.6},\n",
+                "        \"trials_per_sec\": {f_tps:.2},\n",
+                "        \"per_event_ns\": {f_pen:.2}\n",
+                "      }},\n",
                 "      \"heap_baseline\": {base},\n",
                 "      \"speedup\": {speedup}\n",
                 "    }}"
@@ -276,19 +394,21 @@ fn main() {
             h_tps = hot.trials_per_sec,
             h_pen = hot.per_event_ns,
             h_apt = hot.allocs_per_trial,
+            f_sec = faults.seconds,
+            f_tps = faults.trials_per_sec,
+            f_pen = faults.per_event_ns,
             base = base_json,
             speedup = speedup.map_or(String::from("null"), |s| format!("{s:.4}")),
         ));
-        rows.push((n, hot, base));
     }
 
-    let smallest = &rows[0].1;
-    let largest = &rows[rows.len() - 1].1;
+    let smallest = &rows[0].3;
+    let largest = &rows[rows.len() - 1].3;
     let per_event_ratio = largest.per_event_ns / smallest.per_event_ns;
     let gate = rows
         .iter()
         .rev()
-        .find_map(|(n, hot, base)| {
+        .find_map(|(n, _, _, hot, base, _)| {
             base.as_ref()
                 .map(|b| (*n, hot.trials_per_sec / b.trials_per_sec))
         })
@@ -302,9 +422,25 @@ fn main() {
         "speedup vs heap baseline at n={}: {:.2}x (gate ≥ 3)",
         gate.0, gate.1
     );
+    // The faults row's drift gate spans n=10^3 to n=10^5, the sizes both
+    // modes run.
+    const FAULTS_GATE_N: usize = 100_000;
+    let faults_gate = rows
+        .iter()
+        .position(|row| row.0 == FAULTS_GATE_N)
+        .expect("every mode runs n=10^5");
+    let faults_ratio = faults[faults_gate].per_event_ns / faults[0].per_event_ns;
+    println!(
+        "faults per-event cost ratio (n={FAULTS_GATE_N} vs n={}): {faults_ratio:.2}x (gate ≤ 3)",
+        rows[0].0
+    );
     assert!(
         per_event_ratio <= 2.0,
         "per-event cost must stay near-linear: ratio {per_event_ratio:.2} > 2"
+    );
+    assert!(
+        faults_ratio <= 3.0,
+        "faults loop must stay amortized O(1) per event: ratio {faults_ratio:.2} > 3"
     );
     assert!(
         gate.1 >= 3.0,
@@ -321,7 +457,9 @@ fn main() {
             "  \"sizes\": [\n{entries}\n  ],\n",
             "  \"per_event_ratio_largest_vs_smallest\": {ratio:.4},\n",
             "  \"speedup_vs_heap_at_n\": {gate_n},\n",
-            "  \"speedup_vs_heap\": {gate_s:.4}\n",
+            "  \"speedup_vs_heap\": {gate_s:.4},\n",
+            "  \"faults_per_event_ratio_at_n\": {f_gate_n},\n",
+            "  \"faults_per_event_ratio\": {f_ratio:.4}\n",
             "}}\n"
         ),
         quick = quick,
@@ -329,6 +467,8 @@ fn main() {
         ratio = per_event_ratio,
         gate_n = gate.0,
         gate_s = gate.1,
+        f_gate_n = FAULTS_GATE_N,
+        f_ratio = faults_ratio,
     );
     let out = arg_value("out").unwrap_or_else(|| "BENCH_9.json".to_string());
     std::fs::write(&out, &json).expect("write bench json");

@@ -175,14 +175,18 @@ impl Instance {
     /// by id for determinism.
     pub fn ids_by_estimate_desc(&self) -> Vec<TaskId> {
         let mut ids: Vec<TaskId> = self.task_ids().collect();
-        ids.sort_by(|&a, &b| self.estimate(b).cmp(&self.estimate(a)).then(a.cmp(&b)));
+        // The key (estimate descending, id) is unique, so the unstable
+        // sort returns the same order as a stable one, without the merge
+        // buffer.
+        ids.sort_unstable_by(|&a, &b| self.estimate(b).cmp(&self.estimate(a)).then(a.cmp(&b)));
         ids
     }
 
     /// Task ids sorted by non-increasing size, ties broken by id.
     pub fn ids_by_size_desc(&self) -> Vec<TaskId> {
         let mut ids: Vec<TaskId> = self.task_ids().collect();
-        ids.sort_by(|&a, &b| self.size(b).cmp(&self.size(a)).then(a.cmp(&b)));
+        // Unique key (size descending, id): unstable sort, same order.
+        ids.sort_unstable_by(|&a, &b| self.size(b).cmp(&self.size(a)).then(a.cmp(&b)));
         ids
     }
 }
@@ -237,6 +241,22 @@ mod tests {
         let order = inst.ids_by_estimate_desc();
         let idx: Vec<usize> = order.iter().map(|t| t.index()).collect();
         assert_eq!(idx, vec![3, 1, 0, 2]);
+    }
+
+    #[test]
+    fn descending_orders_match_a_stable_sort_under_heavy_ties() {
+        // Few distinct keys over many ids: an unstable sort would expose
+        // any tie the id key failed to break.
+        let pairs: Vec<(f64, f64)> = (0..500)
+            .map(|j| ((j * 7 % 5) as f64, (j * 3 % 4) as f64))
+            .collect();
+        let inst = Instance::from_estimates_and_sizes(&pairs, 3).unwrap();
+        let mut by_estimate: Vec<TaskId> = inst.task_ids().collect();
+        by_estimate.sort_by_key(|&t| std::cmp::Reverse(inst.estimate(t)));
+        assert_eq!(inst.ids_by_estimate_desc(), by_estimate);
+        let mut by_size: Vec<TaskId> = inst.task_ids().collect();
+        by_size.sort_by_key(|&t| std::cmp::Reverse(inst.size(t)));
+        assert_eq!(inst.ids_by_size_desc(), by_size);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::ChainedReplication;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
-use rds_core::{Instance, MachineId, Placement, Realization, Result, Uncertainty};
+use rds_core::{Error, Instance, MachineId, Placement, Realization, Result, Uncertainty};
 use rds_sim::faults::{FaultScript, ResilienceEngine, Speculation};
 use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
 
@@ -49,6 +49,11 @@ impl ResiliencePolicy {
 
 /// Builds the standard five-policy suite for an instance.
 ///
+/// A strategy that does not apply to the instance's machine count (a
+/// chain of `k` replicas needs `k ≤ m`, so `Chained(k=2)` drops at
+/// `m = 1` and `Chained(k=3)` at `m ≤ 2`) is left out rather than
+/// aborting the campaign; from `m = 3` on the suite is always complete.
+///
 /// # Errors
 /// Propagates placement/planning errors from the strategies.
 pub fn standard_suite(instance: &Instance, unc: Uncertainty) -> Result<Vec<ResiliencePolicy>> {
@@ -62,23 +67,25 @@ pub fn standard_suite(instance: &Instance, unc: Uncertainty) -> Result<Vec<Resil
         Box::new(LsGroup::new_relaxed(groups)),
         Box::new(LptNoRestriction),
     ];
-    strategies
-        .into_iter()
-        .map(|s| {
-            let placement = s.place(instance, unc)?;
-            let pinned = if placement.max_replicas() == 1 {
-                let a = s.execute(instance, &placement, &Realization::exact(instance))?;
-                Some(a.machines().to_vec())
-            } else {
-                None
-            };
-            Ok(ResiliencePolicy {
-                name: s.name(),
-                placement,
-                pinned,
-            })
-        })
-        .collect()
+    let mut suite = Vec::with_capacity(strategies.len());
+    for s in strategies {
+        let placement = match s.place(instance, unc) {
+            Err(Error::BadGroupCount { .. }) => continue,
+            placed => placed?,
+        };
+        let pinned = if placement.max_replicas() == 1 {
+            let a = s.execute(instance, &placement, &Realization::exact(instance))?;
+            Some(a.machines().to_vec())
+        } else {
+            None
+        };
+        suite.push(ResiliencePolicy {
+            name: s.name(),
+            placement,
+            pinned,
+        });
+    }
+    Ok(suite)
 }
 
 /// Aggregated campaign results for one policy.
@@ -154,6 +161,11 @@ impl TrialMeasurement {
 /// Runs one (policy, trial) pair: the fault-free baseline through the
 /// identical engine path, then the faulty run.
 ///
+/// Both legs share one dispatcher, rewound between them
+/// ([`Dispatcher::rewind`]); only a dispatcher that cannot rewind is
+/// built twice. Building one costs an LPT sort plus, for restricted
+/// placements, a placement index.
+///
 /// This is the single execution path both [`run_campaign`] and the
 /// resumable campaign runtime go through, so journaled replays aggregate
 /// bit-identically to live runs.
@@ -170,18 +182,18 @@ pub fn run_trial(
 ) -> Result<TrialMeasurement> {
     let _span = rds_obs::span("resilience.trial");
     let empty = FaultScript::empty();
-    let baseline = {
-        let mut d = policy.dispatcher(instance);
-        ResilienceEngine::new(instance, &policy.placement, realization, &empty)?
-            .run(d.as_mut())?
-            .metrics
-            .makespan
-    };
+    let mut d = policy.dispatcher(instance);
+    let baseline = ResilienceEngine::new(instance, &policy.placement, realization, &empty)?
+        .run(d.as_mut())?
+        .metrics
+        .makespan;
     let mut engine = ResilienceEngine::new(instance, &policy.placement, realization, script)?;
     if let Some(spec) = speculation {
         engine = engine.with_speculation(spec);
     }
-    let mut d = policy.dispatcher(instance);
+    if !d.rewind() {
+        d = policy.dispatcher(instance);
+    }
     let mut report = engine.run(d.as_mut())?;
     report.set_baseline(baseline);
     let m = report.metrics;
@@ -288,7 +300,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rds_core::Time;
+    use rds_core::{TaskId, Time};
     use rds_sim::faults::FaultEvent;
 
     fn setup() -> (Instance, Uncertainty) {
@@ -308,6 +320,115 @@ mod tests {
         assert_eq!(suite[1].placement.max_replicas(), 2);
         assert_eq!(suite[2].placement.max_replicas(), 3);
         assert_eq!(suite[4].placement.max_replicas(), inst.m());
+    }
+
+    #[test]
+    fn suite_drops_chains_longer_than_m_and_is_complete_from_m_3() {
+        let est = [3.0, 1.0, 2.0, 5.0, 4.0, 1.5];
+        let names = |m: usize| -> Vec<String> {
+            let inst = Instance::from_estimates(&est, m).unwrap();
+            standard_suite(&inst, Uncertainty::of(1.5))
+                .unwrap()
+                .into_iter()
+                .map(|p| p.name)
+                .collect()
+        };
+        assert_eq!(
+            names(1),
+            ["LPT-No Choice", "LS-Group(k=1)", "LPT-No Restriction"]
+        );
+        assert_eq!(
+            names(2),
+            [
+                "LPT-No Choice",
+                "Chained(k=2)",
+                "LS-Group(k=1)",
+                "LPT-No Restriction"
+            ]
+        );
+        for m in [3, 4, 7] {
+            assert_eq!(names(m).len(), 5, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn rewound_dispatcher_cell_equals_fresh_dispatchers() {
+        // Chains wrap around the ring (mask placements), the LS-Group
+        // spans and the pinned baseline each take a different
+        // dispatcher; every one must replay identically once rewound.
+        let est: Vec<f64> = (0..40).map(|i| 1.0 + ((i * 7) % 11) as f64).collect();
+        let inst = Instance::from_estimates(&est, 7).unwrap();
+        let unc = Uncertainty::of(1.5);
+        let factors: Vec<f64> = (0..inst.n())
+            .map(|j| if j % 3 == 0 { 1.5 } else { 1.0 / 1.5 })
+            .collect();
+        let real = Realization::from_factors(&inst, unc, &factors).unwrap();
+        let script = FaultScript::new(vec![
+            FaultEvent::Outage {
+                machine: MachineId::new(2),
+                at: Time::of(3.0),
+                down_for: Time::of(6.0),
+            },
+            FaultEvent::Crash {
+                machine: MachineId::new(5),
+                at: Time::of(8.0),
+            },
+            FaultEvent::Slowdown {
+                machine: MachineId::new(0),
+                at: Time::of(1.0),
+                lasting: Time::of(500.0),
+                speed: 0.05,
+            },
+            FaultEvent::Straggler {
+                task: TaskId::new(4),
+                factor: 4.0,
+            },
+        ]);
+        let spec = Speculation::new(1.0, unc);
+        let suite = standard_suite(&inst, unc).unwrap();
+        assert_eq!(suite.len(), 5);
+        let (mut restarts, mut backups) = (0, 0);
+        for policy in &suite {
+            let engine = |script| {
+                ResilienceEngine::new(&inst, &policy.placement, &real, script)
+                    .unwrap()
+                    .with_speculation(spec)
+            };
+            let empty = FaultScript::empty();
+            let fresh_base = engine(&empty)
+                .run(policy.dispatcher(&inst).as_mut())
+                .unwrap();
+            let fresh = engine(&script)
+                .run(policy.dispatcher(&inst).as_mut())
+                .unwrap();
+            let mut d = policy.dispatcher(&inst);
+            let base = engine(&empty).run(d.as_mut()).unwrap();
+            assert!(d.rewind(), "{} cannot rewind", policy.name);
+            let rewound = engine(&script).run(d.as_mut()).unwrap();
+            for (a, b) in [(&fresh_base, &base), (&fresh, &rewound)] {
+                assert_eq!(a.outcome, b.outcome, "{}", policy.name);
+                assert_eq!(a.schedule, b.schedule, "{}", policy.name);
+                assert_eq!(a.trace, b.trace, "{}", policy.name);
+                assert_eq!(a.metrics, b.metrics, "{}", policy.name);
+            }
+            assert_ne!(fresh.trace, fresh_base.trace, "{}", policy.name);
+            restarts += fresh.metrics.restarts;
+            backups += fresh.metrics.speculative_started;
+            let cell = run_trial(&inst, policy, &real, &script, Some(spec)).unwrap();
+            assert_eq!(
+                cell.makespan,
+                fresh.metrics.makespan.get(),
+                "{}",
+                policy.name
+            );
+            assert_eq!(cell.baseline, fresh_base.metrics.makespan.get());
+            assert_eq!(cell.wasted, fresh.metrics.wasted_work.get());
+            assert_eq!(cell.completed, fresh.outcome.is_completed());
+        }
+        assert!(
+            restarts > 0 && backups > 0,
+            "{restarts} restarts, {backups} backups"
+        );
     }
 
     #[test]

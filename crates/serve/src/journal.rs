@@ -202,11 +202,29 @@ struct Scan {
 
 /// Parses a journal file, tolerating a torn final line (crash artifact)
 /// but rejecting corruption anywhere else.
+///
+/// The file is read as bytes: a SIGKILL can cut a multibyte character,
+/// so invalid UTF-8 in the final fragment is a torn tail like any other
+/// unparsable last line, while invalid UTF-8 followed by more lines is
+/// corruption. Only the valid prefix is decoded and split into lines.
 fn scan(path: &Path) -> Result<Scan> {
-    let mut text = String::new();
+    let mut bytes = Vec::new();
     File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
+        .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| io_err("read", path, &e))?;
+    let text = match std::str::from_utf8(&bytes) {
+        Ok(text) => text,
+        Err(e) => {
+            let cut = e.valid_up_to();
+            if bytes[cut..].contains(&b'\n') {
+                return Err(Error::JournalCorrupt {
+                    line: bytes[..cut].iter().filter(|&&b| b == b'\n').count() + 1,
+                    why: "invalid utf-8 before the final line".to_string(),
+                });
+            }
+            std::str::from_utf8(&bytes[..cut]).expect("validated prefix")
+        }
+    };
 
     let mut digest = None;
     let mut records: Vec<TerminalRecord> = Vec::new();
@@ -214,7 +232,7 @@ fn scan(path: &Path) -> Result<Scan> {
     let mut good_bytes = 0u64;
     let mut offset = 0usize;
     let mut line_no = 0usize;
-    let mut rest = &text[..];
+    let mut rest = text;
     while !rest.is_empty() {
         line_no += 1;
         let (line, consumed, terminated) = match rest.find('\n') {
@@ -269,7 +287,7 @@ fn scan(path: &Path) -> Result<Scan> {
         line: 1,
         why: "journal has no serve-meta line".to_string(),
     })?;
-    let torn = good_bytes < text.len() as u64;
+    let torn = good_bytes < bytes.len() as u64;
     Ok(Scan {
         digest,
         records,
@@ -573,6 +591,66 @@ mod tests {
         assert_eq!(j.already(1), None);
         drop(j);
         assert_eq!(ServeJournal::read(&path).unwrap().records.len(), 1);
+    }
+
+    #[test]
+    fn resume_survives_a_cut_at_every_byte_of_a_multibyte_record() {
+        let path = tmp("utf8.jsonl");
+        let c = cfg();
+        let mut j = ServeJournal::create(&path, &c).unwrap();
+        j.append_terminal(&rec(0, TerminalKind::Done)).unwrap();
+        j.sync().unwrap();
+        drop(j);
+        // A record carrying multibyte characters in a field the reader
+        // ignores, so cuts land inside 2-, 3- and 4-byte sequences.
+        let mut line = terminal_line(&rec(1, TerminalKind::Done));
+        line.insert_str(line.len() - 2, ",\"note\":\"é→𝛼\"");
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(line.as_bytes()).unwrap();
+        drop(f);
+        let full = std::fs::read(&path).unwrap();
+        assert_eq!(ServeJournal::read(&path).unwrap().records.len(), 2);
+        let meta_end = meta_line(&c).len();
+        let first_end = meta_end + terminal_line(&rec(0, TerminalKind::Done)).len();
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let resumed = ServeJournal::resume(&path, &c);
+            if cut < meta_end {
+                // No complete meta line: a typed corruption error.
+                assert!(
+                    matches!(resumed, Err(Error::JournalCorrupt { line: 1, .. })),
+                    "cut at {cut}: {resumed:?}"
+                );
+                continue;
+            }
+            let j = resumed.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            let (records, good) = if cut == full.len() {
+                (2, full.len())
+            } else if cut >= first_end {
+                (1, first_end)
+            } else {
+                (0, meta_end)
+            };
+            assert_eq!(j.terminal_count(), records, "cut at {cut}");
+            drop(j);
+            // The torn tail was truncated back to the last whole line.
+            assert_eq!(std::fs::read(&path).unwrap(), &full[..good], "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_before_the_final_line_is_corruption() {
+        let path = tmp("utf8-mid.jsonl");
+        let c = cfg();
+        drop(ServeJournal::create(&path, &c).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"kind\":\"done\",\xF0\x9D}\n");
+        bytes.extend_from_slice(terminal_line(&rec(1, TerminalKind::Done)).as_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            ServeJournal::read(&path),
+            Err(Error::JournalCorrupt { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -25,12 +25,10 @@ const NON_SPAN: u32 = STARTED - 1;
 ///
 /// The span covers the `One`/`Span`/`All` placement shapes (the paper's
 /// strategies); arbitrary mask placements store a sentinel and fall
-/// back to [`Placement::allows`]. The faults engine, which tracks its
-/// own per-attempt durations, fills only the pending flag.
+/// back to [`Placement::allows`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotTask {
-    /// Actual processing time (zero on the faults path, which never
-    /// reads it — its durations are per-attempt, not per-task).
+    /// Actual processing time.
     actual: f64,
     /// Eligibility span start (meaningless under the sentinel).
     lo: u32,
@@ -76,7 +74,7 @@ impl HotTask {
         self.lo
     }
 
-    /// Record carrying only the pending flag (faults path).
+    /// Record carrying only the pending flag (no span, zero time).
     pub fn pending_only(pending: bool) -> Self {
         HotTask {
             actual: 0.0,
@@ -101,6 +99,13 @@ impl HotTask {
         self.hi |= STARTED;
     }
 
+    /// Marks a started task pending again (a requeue after its last
+    /// attempt was lost).
+    #[inline]
+    pub(crate) fn mark_pending(&mut self) {
+        self.hi &= !STARTED;
+    }
+
     /// The task's actual processing time.
     #[inline]
     pub(crate) fn actual(&self) -> Time {
@@ -116,6 +121,45 @@ impl HotTask {
             None
         } else {
             Some(self.lo <= machine && machine < end)
+        }
+    }
+}
+
+/// Appends one hot record per task to `column`: in `layout`, a
+/// dispatcher's [`Dispatcher::hot_order`], when it covers every task
+/// (the dispatcher's probe frontier then sweeps the column), in task-id
+/// order otherwise. Returns `(by_slot, trusted)`: whether the column
+/// follows the layout, and whether its records carry task ids in place
+/// of spans because the dispatcher `embeds` them
+/// ([`Dispatcher::embeds_task_ids`]) and so vouches for eligibility.
+pub(crate) fn fill_hot_column(
+    column: &mut Vec<HotTask>,
+    layout: Option<&[TaskId]>,
+    embeds: bool,
+    actuals: &[Time],
+    sets: &[MachineSet],
+    m: usize,
+) -> (bool, bool) {
+    let n = actuals.len();
+    match layout.filter(|order| order.len() == n) {
+        Some(order) if embeds => {
+            column.extend(
+                order
+                    .iter()
+                    .map(|t| HotTask::slotted(actuals[t.index()], t.index() as u32)),
+            );
+            (true, true)
+        }
+        Some(order) => {
+            column.extend(order.iter().map(|t| {
+                let j = t.index();
+                HotTask::new(actuals[j], &sets[j], m)
+            }));
+            (true, false)
+        }
+        None => {
+            column.extend((0..n).map(|j| HotTask::new(actuals[j], &sets[j], m)));
+            (false, false)
         }
     }
 }
@@ -219,6 +263,16 @@ pub trait Dispatcher {
     /// observable dispatcher state.
     fn warm(&self, machine: MachineId, view: &SimView<'_>) {
         let _ = (machine, view);
+    }
+
+    /// Rewinds the dispatcher to the state it had when built, so one
+    /// instance can serve another run over the same (instance,
+    /// placement) pair: every decision of the next run must equal what
+    /// a freshly built dispatcher would decide. Returns `false` when the
+    /// dispatcher cannot rewind (the default); the caller must then
+    /// build a new one.
+    fn rewind(&mut self) -> bool {
+        false
     }
 }
 
@@ -563,6 +617,11 @@ impl Dispatcher for OrderedDispatcher {
         self.last
     }
 
+    fn rewind(&mut self) -> bool {
+        self.reset();
+        true
+    }
+
     fn on_requeue(&mut self, task: TaskId) {
         // A started task became pending again: any cursor that passed its
         // order position must rewind — but only to that position, not to
@@ -585,11 +644,16 @@ impl Dispatcher for OrderedDispatcher {
                     idx.cursors[r] = idx.cursors[r].min((lo + k) as u32);
                 }
             }
-            // Keep the per-machine CSR frontiers no further right than
-            // their (already rewound) shared row cursor — a smaller
-            // cursor is always sound, it just re-scans a few entries.
+            // The CSR path advances the per-machine frontiers, not the
+            // row cursors: rewind the frontier of every machine whose row
+            // holds the task to the task's entry, by the same search.
             for (i, f) in idx.mframe.iter_mut().enumerate() {
-                f.0 = f.0.min(idx.cursors[idx.row[i] as usize]);
+                let r = idx.row[i] as usize;
+                let lo = idx.offsets[r] as usize;
+                let hi = idx.offsets[r + 1] as usize;
+                if let Ok(k) = idx.ranks[lo..hi].binary_search(&pos) {
+                    f.0 = f.0.min((lo + k) as u32);
+                }
             }
         }
     }
@@ -729,6 +793,10 @@ impl Dispatcher for LocalityDispatcher {
 #[derive(Debug, Clone)]
 pub struct PinnedDispatcher {
     queues: Vec<Vec<TaskId>>, // per machine, in reverse execution order
+    /// Per machine, how many entries of its queue are still live
+    /// (entries at `live[i]..` were consumed). Dispatch shrinks it
+    /// instead of popping, so [`Dispatcher::rewind`] can restore it.
+    live: Vec<usize>,
 }
 
 impl PinnedDispatcher {
@@ -746,24 +814,39 @@ impl PinnedDispatcher {
         for (j, id) in machine_of.iter().enumerate().rev() {
             queues[id.index()].push(TaskId::new(j));
         }
-        PinnedDispatcher { queues }
+        Self::from_queues(queues)
+    }
+
+    fn from_queues(queues: Vec<Vec<TaskId>>) -> Self {
+        let live = queues.iter().map(Vec::len).collect();
+        PinnedDispatcher { queues, live }
     }
 }
 
 impl Dispatcher for PinnedDispatcher {
     fn next_task(&mut self, machine: MachineId, _now: Time, view: &SimView<'_>) -> Option<TaskId> {
-        let q = &mut self.queues[machine.index()];
-        while let Some(&t) = q.last() {
+        let i = machine.index();
+        let q = &self.queues[i];
+        let live = &mut self.live[i];
+        while *live > 0 {
+            let t = q[*live - 1];
             if view.is_pending(t) {
                 return Some(t);
             }
-            q.pop();
+            *live -= 1;
         }
         None
     }
 
+    fn rewind(&mut self) -> bool {
+        for (live, q) in self.live.iter_mut().zip(&self.queues) {
+            *live = q.len();
+        }
+        true
+    }
+
     // Note: a pinned task requeued after its machine failed is stranded
-    // by construction (its queue entry was popped and no other machine
+    // by construction (its queue entry was consumed and no other machine
     // holds it); the failure engine reports it. No cursor to reset.
 }
 
@@ -791,7 +874,7 @@ impl StagedDispatcher {
             }
         }
         StagedDispatcher {
-            pinned: PinnedDispatcher { queues },
+            pinned: PinnedDispatcher::from_queues(queues),
             ordered: OrderedDispatcher::new(order),
         }
     }
@@ -1084,11 +1167,51 @@ mod tests {
     }
 
     #[test]
+    fn rewind_replays_consumed_pinned_queues() {
+        let (inst, p) = setup(3, 2);
+        let pins = [MachineId::new(0), MachineId::new(1), MachineId::new(0)];
+        let mut d = PinnedDispatcher::new(&pins, 2);
+        let mut pending = vec![HotTask::pending_only(true); 3];
+        for t in [0, 2] {
+            let view = SimView {
+                instance: &inst,
+                placement: &p,
+                tasks: &pending,
+                by_slot: false,
+            };
+            assert_eq!(
+                d.next_task(MachineId::new(0), Time::ZERO, &view),
+                Some(TaskId::new(t))
+            );
+            pending[t].mark_started();
+        }
+        let view = SimView {
+            instance: &inst,
+            placement: &p,
+            tasks: &pending,
+            by_slot: false,
+        };
+        assert_eq!(d.next_task(MachineId::new(0), Time::ZERO, &view), None);
+        assert!(d.rewind());
+        let pending = vec![HotTask::pending_only(true); 3];
+        let view = SimView {
+            instance: &inst,
+            placement: &p,
+            tasks: &pending,
+            by_slot: false,
+        };
+        assert_eq!(
+            d.next_task(MachineId::new(0), Time::ZERO, &view),
+            Some(TaskId::new(0))
+        );
+    }
+
+    #[test]
     fn locality_prefers_local_task_over_rank() {
         let inst = Instance::from_estimates(&[4.0, 3.0], 2).unwrap();
         let sets = vec![
-            rds_core::MachineSet::All,                      // home m0
-            rds_core::MachineSet::Span { start: 1, end: 2 } // home m1
+            rds_core::MachineSet::All,                       // home m0
+            rds_core::MachineSet::Span { start: 1, end: 2 }, // home m1
         ];
         let p = Placement::new(&inst, sets).unwrap();
         let topo = NetworkTopology::uniform(2, 10.0).unwrap();

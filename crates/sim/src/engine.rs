@@ -9,7 +9,7 @@
 //! structurally.
 
 use crate::arena::SimArena;
-use crate::dispatcher::{Dispatcher, HotTask, SimView};
+use crate::dispatcher::{fill_hot_column, Dispatcher, SimView};
 use crate::event::{EventQueue, IdleEvent, QueueMode};
 use crate::trace::{Trace, TraceEvent};
 use rds_core::{
@@ -249,40 +249,18 @@ impl<'a> Engine<'a> {
         // cache line this pass wrote, instead of three scattered arrays.
         // Fill the hot column — in the dispatcher's own layout when it
         // declares one (records at order positions, making its probe
-        // frontier a sequential sweep), in task-id order otherwise.
-        let embeds = dispatcher.embeds_task_ids();
-        let by_slot = {
-            let actuals = self.realization.times();
-            let sets = self.placement.sets();
-            match dispatcher.hot_order() {
-                Some(ord) if ord.len() == n => {
-                    if embeds {
-                        // Id-embedding records: the span field carries the
-                        // task id so a dispatch never leaves this line.
-                        arena.pending.extend(
-                            ord.iter()
-                                .map(|t| HotTask::slotted(actuals[t.index()], t.index() as u32)),
-                        );
-                    } else {
-                        arena.pending.extend(ord.iter().map(|t| {
-                            let j = t.index();
-                            HotTask::new(actuals[j], &sets[j], m)
-                        }));
-                    }
-                    true
-                }
-                _ => {
-                    arena
-                        .pending
-                        .extend((0..n).map(|j| HotTask::new(actuals[j], &sets[j], m)));
-                    false
-                }
-            }
-        };
-        // An id-embedding slotted run has no span data in the records;
-        // the dispatcher vouches for eligibility (RDS_VALIDATE still
-        // checks the finished schedule against the placement).
-        let trusted = by_slot && embeds;
+        // frontier a sequential sweep), in task-id order otherwise. An
+        // id-embedding slotted run has no span data in the records; the
+        // dispatcher vouches for eligibility (RDS_VALIDATE still checks
+        // the finished schedule against the placement).
+        let (by_slot, trusted) = fill_hot_column(
+            &mut arena.pending,
+            dispatcher.hot_order(),
+            dispatcher.embeds_task_ids(),
+            self.realization.times(),
+            self.placement.sets(),
+            m,
+        );
         let SimArena {
             pending,
             trace,

@@ -44,7 +44,7 @@
 //!   a useless backup (completion processes first).
 
 use crate::arena::SimArena;
-use crate::dispatcher::{Dispatcher, HotTask, SimView};
+use crate::dispatcher::{fill_hot_column, Dispatcher, HotTask, SimView};
 use crate::trace::{Trace, TraceEvent};
 use rds_core::{
     Error, Instance, MachineId, Placement, Realization, Result, Schedule, Slot, TaskId, Time,
@@ -368,7 +368,11 @@ const RECOVER_SPEED: u64 = 1;
 struct Attempt {
     id: u64,
     task: TaskId,
+    /// Position of the task's record in the pending column.
+    slot: u32,
     start: Time,
+    /// The task's realized time, reported at completion.
+    actual: Time,
     /// Work units this attempt must process (actual × straggler factor).
     total: Time,
     /// Work units processed so far.
@@ -404,10 +408,12 @@ struct MachineState {
     epoch: u64,
 }
 
+/// Two bytes per task, so the column stays cache-resident at large n.
+/// `attempts` counts live attempts: a primary plus at most one backup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TaskState {
     Pending,
-    Running { attempts: usize },
+    Running { attempts: u8 },
     Done,
 }
 
@@ -502,7 +508,22 @@ impl<'a> ResilienceEngine<'a> {
     /// already-started picks).
     pub fn run(&self, dispatcher: &mut dyn Dispatcher) -> Result<ResilienceReport> {
         let mut scratch = FaultScratch::default();
-        Run::new(self, dispatcher, &mut scratch).execute()
+        Run::new(self, dispatcher, &mut scratch, false).execute()
+    }
+
+    /// Reference path for the differential tests: identical to
+    /// [`Self::run`] except that the pending column is rebuilt from the
+    /// task states before every dispatch and every completion scans all
+    /// machines for sibling attempts — the pre-incremental loop, O(n)
+    /// per dispatch. Not for production use.
+    ///
+    /// # Errors
+    /// Same as [`Self::run`].
+    #[cfg(any(test, feature = "oracle"))]
+    #[doc(hidden)]
+    pub fn run_snapshot_oracle(&self, dispatcher: &mut dyn Dispatcher) -> Result<ResilienceReport> {
+        let mut scratch = FaultScratch::default();
+        Run::new(self, dispatcher, &mut scratch, true).execute()
     }
 
     /// Runs the execution to quiescence under `dispatcher`, reusing the
@@ -510,7 +531,7 @@ impl<'a> ResilienceEngine<'a> {
     ///
     /// Same semantics as [`Self::run`] — the report still owns its
     /// schedule and trace — but the event heap, per-task / per-machine
-    /// state vectors, and the dispatcher's pending snapshot are borrowed
+    /// state vectors, and the dispatcher's pending column are borrowed
     /// from `arena` and returned to it when the run finishes, so a
     /// steady-state campaign (same instance shape trial after trial)
     /// rebuilds none of them.
@@ -522,7 +543,7 @@ impl<'a> ResilienceEngine<'a> {
         arena: &mut SimArena,
         dispatcher: &mut dyn Dispatcher,
     ) -> Result<ResilienceReport> {
-        Run::new(self, dispatcher, &mut arena.fault_scratch).execute()
+        Run::new(self, dispatcher, &mut arena.fault_scratch, false).execute()
     }
 }
 
@@ -530,7 +551,7 @@ impl<'a> ResilienceEngine<'a> {
 ///
 /// A faulty trial needs an event heap seeded with `m` idle events plus
 /// one entry per scripted fault, per-task and per-machine state vectors,
-/// straggler multipliers, and a pending snapshot per dispatch call.
+/// straggler multipliers, and the pending column the dispatcher reads.
 /// [`ResilienceEngine::run`] builds all of that from scratch;
 /// [`ResilienceEngine::run_in`] takes the buffers out of this scratch at
 /// run start and puts them back (storage intact) at run end, so repeated
@@ -541,7 +562,7 @@ pub struct FaultScratch {
     machines: Vec<MachineState>,
     tasks: Vec<TaskState>,
     straggle: Vec<f64>,
-    spec_queue: VecDeque<TaskId>,
+    spec_queue: VecDeque<(TaskId, u32)>,
     spec_launched: Vec<bool>,
     recovery_costs: Vec<f64>,
     pending: Vec<HotTask>,
@@ -555,8 +576,9 @@ struct Run<'a, 'b> {
     tasks: Vec<TaskState>,
     /// Straggler multiplier per task (product of scripted factors).
     straggle: Vec<f64>,
-    /// Tasks with a requested-but-unplaced speculative backup.
-    spec_queue: VecDeque<TaskId>,
+    /// Tasks with a requested-but-unplaced speculative backup, with the
+    /// slot of their hot record.
+    spec_queue: VecDeque<(TaskId, u32)>,
     spec_launched: Vec<bool>,
     /// (time, kind, index, data): index is a fault index for
     /// `KIND_FAULT`, else a machine index; data is an epoch for
@@ -570,14 +592,37 @@ struct Run<'a, 'b> {
     next_attempt_id: u64,
     /// Per-machine down-event weights (unit when the engine set none).
     recovery_costs: Vec<f64>,
-    /// Pending snapshot handed to the dispatcher, reused across calls.
+    /// The pending column handed to the dispatcher: one hot record per
+    /// task (pending flag, eligibility span or task id, realized time),
+    /// so a start reads the record the dispatcher's probe just warmed
+    /// instead of the placement and realization. Laid out in the
+    /// dispatcher's [`Dispatcher::hot_order`] when it declares one (its
+    /// probe then sweeps the column left to right), in task-id order
+    /// otherwise. Filled once at run start (every task pending); the
+    /// flag is then written only at the two transitions that change it:
+    /// a non-speculative start (pending → started,
+    /// [`Self::start_attempt`]) and the loss of a task's last live
+    /// attempt (started → pending, [`Self::take_down`]). Completion
+    /// keeps the started flag.
     pending: Vec<HotTask>,
+    /// `true` when `pending` is in the dispatcher's layout.
+    by_slot: bool,
+    /// `true` when the records carry task ids instead of spans
+    /// ([`Dispatcher::embeds_task_ids`]): the dispatcher vouches for
+    /// eligibility, and the validator still checks the schedule.
+    trusted: bool,
     /// Where the reusable buffers go back when the run finishes.
     scratch: Option<&'b mut FaultScratch>,
-    /// Metric handles resolved once at run start (`None` while
-    /// instrumentation is disabled, so the hot path pays one branch).
+    /// Instrumentation flag and metric handles resolved once at run
+    /// start (`false` / `None` while instrumentation is disabled, so the
+    /// hot path pays one branch).
+    obs: bool,
     obs_events: Option<std::sync::Arc<rds_obs::Counter>>,
     obs_dispatch: Option<std::sync::Arc<rds_obs::Counter>>,
+    /// Rebuild `pending` (in task-id order) before every dispatch and
+    /// scan every machine on completion
+    /// ([`ResilienceEngine::run_snapshot_oracle`]).
+    snapshot_oracle: bool,
 }
 
 impl<'a, 'b> Run<'a, 'b> {
@@ -585,6 +630,7 @@ impl<'a, 'b> Run<'a, 'b> {
         engine: &'a ResilienceEngine<'a>,
         dispatcher: &'b mut dyn Dispatcher,
         scratch: &'b mut FaultScratch,
+        snapshot_oracle: bool,
     ) -> Self {
         let n = engine.instance.n();
         let m = engine.instance.m();
@@ -634,6 +680,15 @@ impl<'a, 'b> Run<'a, 'b> {
         }
         let mut pending = std::mem::take(&mut scratch.pending);
         pending.clear();
+        let (by_slot, trusted) = fill_hot_column(
+            &mut pending,
+            dispatcher.hot_order().filter(|_| !snapshot_oracle),
+            dispatcher.embeds_task_ids(),
+            engine.realization.times(),
+            engine.placement.sets(),
+            m,
+        );
+        let obs = rds_obs::enabled();
         Run {
             engine,
             dispatcher,
@@ -664,9 +719,13 @@ impl<'a, 'b> Run<'a, 'b> {
             next_attempt_id: 0,
             recovery_costs,
             pending,
+            by_slot,
+            trusted,
             scratch: Some(scratch),
-            obs_events: rds_obs::enabled().then(|| rds_obs::global().counter("engine.events")),
-            obs_dispatch: rds_obs::enabled().then(|| rds_obs::global().counter("engine.dispatch")),
+            obs,
+            obs_events: obs.then(|| rds_obs::global().counter("engine.events")),
+            obs_dispatch: obs.then(|| rds_obs::global().counter("engine.dispatch")),
+            snapshot_oracle,
         }
     }
 
@@ -812,6 +871,7 @@ impl<'a, 'b> Run<'a, 'b> {
                 }
                 TaskState::Running { .. } => {
                     self.tasks[j] = TaskState::Pending;
+                    self.pending[att.slot as usize].mark_pending();
                     self.metrics.restarts += 1;
                     self.dispatcher.on_requeue(att.task);
                     self.wake_parked(time);
@@ -895,23 +955,36 @@ impl<'a, 'b> Run<'a, 'b> {
             start: att.start,
             end: time,
         });
-        let actual = self.engine.realization.actual(att.task);
         self.trace.push(TraceEvent::Complete {
             time,
             task: att.task,
             machine,
-            actual,
+            actual: att.actual,
         });
-        self.dispatcher.on_complete(att.task, machine, actual, time);
+        self.dispatcher
+            .on_complete(att.task, machine, att.actual, time);
         self.metrics.completed += 1;
         self.metrics.makespan = self.metrics.makespan.max(time);
         self.remaining -= 1;
         if att.speculative {
             self.metrics.speculative_wins += 1;
         }
+        let TaskState::Running { attempts } = self.tasks[j] else {
+            unreachable!("completing a non-running task")
+        };
         self.tasks[j] = TaskState::Done;
         // First finisher wins: cancel sibling attempts of the same task.
+        // `attempts` counts the live ones, so a lone attempt (the common
+        // case) skips the O(m) machine scan.
+        let mut siblings = if self.snapshot_oracle {
+            self.machines.len()
+        } else {
+            usize::from(attempts) - 1
+        };
         for w in 0..self.machines.len() {
+            if siblings == 0 {
+                break;
+            }
             let cancel = self.machines[w]
                 .attempt
                 .map(|a| a.task == att.task)
@@ -919,6 +992,7 @@ impl<'a, 'b> Run<'a, 'b> {
             if !cancel {
                 continue;
             }
+            siblings -= 1;
             let speed = self.machines[w].speed;
             let mut lost = self.machines[w].attempt.take().expect("checked above");
             lost.advance(time, speed);
@@ -944,22 +1018,30 @@ impl<'a, 'b> Run<'a, 'b> {
         }
         let machine = MachineId::new(index);
         let n = self.engine.instance.n();
-        self.pending.clear();
-        self.pending.extend(
-            self.tasks
-                .iter()
-                .map(|s| HotTask::pending_only(matches!(s, TaskState::Pending))),
+        #[cfg(any(test, feature = "oracle"))]
+        if self.snapshot_oracle {
+            for (h, s) in self.pending.iter_mut().zip(&self.tasks) {
+                if matches!(s, TaskState::Pending) {
+                    h.mark_pending();
+                } else {
+                    h.mark_started();
+                }
+            }
+        }
+        debug_assert!(
+            self.column_in_sync(),
+            "pending column out of sync with the task states"
         );
         if let Some(dispatch) = &self.obs_dispatch {
             dispatch.inc();
         }
         let choice = {
-            let _dispatch_span = rds_obs::span("engine.dispatch");
+            let _dispatch_span = rds_obs::span_if(self.obs, "engine.dispatch");
             let view = SimView {
                 instance: self.engine.instance,
                 placement: self.engine.placement,
                 tasks: &self.pending,
-                by_slot: false,
+                by_slot: self.by_slot,
             };
             self.dispatcher.next_task(machine, time, &view)
         };
@@ -971,22 +1053,40 @@ impl<'a, 'b> Run<'a, 'b> {
                         n,
                     });
                 }
-                if !self.pending[task.index()].is_pending() {
+                // In the dispatcher's layout the record sits at the slot
+                // it just reported; its layout contract vouches for it.
+                let slot = if self.by_slot {
+                    let s = self.dispatcher.last_slot();
+                    if s as usize >= n {
+                        return Err(Error::InvalidParameter {
+                            what: "slotted dispatcher did not report the task's slot",
+                        });
+                    }
+                    s
+                } else {
+                    task.index() as u32
+                };
+                let rec = &self.pending[slot as usize];
+                if !rec.is_pending() {
                     return Err(Error::InvalidParameter {
                         what: "dispatcher returned an already-started task",
                     });
                 }
-                if !self.engine.placement.allows(task, machine) {
+                let allowed = self.trusted
+                    || rec
+                        .span_allows(index as u32)
+                        .unwrap_or_else(|| self.engine.placement.allows(task, machine));
+                if !allowed {
                     return Err(Error::InfeasibleAssignment {
                         task: task.index(),
                         machine: index,
                     });
                 }
-                self.start_attempt(time, index, task, false);
+                self.start_attempt(time, index, task, slot, false);
             }
             None => {
-                if let Some(task) = self.pop_backup_for(machine) {
-                    self.start_attempt(time, index, task, true);
+                if let Some((task, slot)) = self.pop_backup_for(machine) {
+                    self.start_attempt(time, index, task, slot, true);
                 } else if !self.machines[index].parked {
                     self.machines[index].parked = true;
                     self.trace.push(TraceEvent::Starved { time, machine });
@@ -996,37 +1096,66 @@ impl<'a, 'b> Run<'a, 'b> {
         Ok(())
     }
 
+    /// `true` when every record's pending flag agrees with its task's
+    /// state (the invariant the incremental column maintains).
+    fn column_in_sync(&self) -> bool {
+        let order = if self.by_slot {
+            self.dispatcher.hot_order()
+        } else {
+            None
+        };
+        self.pending.iter().enumerate().all(|(slot, h)| {
+            let j = order.map_or(slot, |o| o[slot].index());
+            h.is_pending() == matches!(self.tasks[j], TaskState::Pending)
+        })
+    }
+
     /// Pops the first queued backup this machine can host, dropping
     /// entries that became stale (task completed or requeued) meanwhile.
-    fn pop_backup_for(&mut self, machine: MachineId) -> Option<TaskId> {
+    fn pop_backup_for(&mut self, machine: MachineId) -> Option<(TaskId, u32)> {
         let tasks = &self.tasks;
         self.spec_queue
-            .retain(|&t| matches!(tasks[t.index()], TaskState::Running { .. }));
+            .retain(|&(t, _)| matches!(tasks[t.index()], TaskState::Running { .. }));
         let pos = self
             .spec_queue
             .iter()
-            .position(|&t| self.engine.placement.allows(t, machine))?;
+            .position(|&(t, _)| self.engine.placement.allows(t, machine))?;
         self.spec_queue.remove(pos)
     }
 
-    /// Starts an attempt of `task` on machine `index`.
-    fn start_attempt(&mut self, time: Time, index: usize, task: TaskId, speculative: bool) {
+    /// Starts an attempt of `task`, whose record sits at `slot`, on
+    /// machine `index`.
+    fn start_attempt(
+        &mut self,
+        time: Time,
+        index: usize,
+        task: TaskId,
+        slot: u32,
+        speculative: bool,
+    ) {
         let machine = MachineId::new(index);
         let j = task.index();
+        let rec = &mut self.pending[slot as usize];
         self.tasks[j] = match (self.tasks[j], speculative) {
-            (TaskState::Pending, false) => TaskState::Running { attempts: 1 },
+            (TaskState::Pending, false) => {
+                rec.mark_started();
+                TaskState::Running { attempts: 1 }
+            }
             (TaskState::Running { attempts }, true) => TaskState::Running {
                 attempts: attempts + 1,
             },
             _ => unreachable!("invalid start"),
         };
-        let total = self.engine.realization.actual(task) * self.straggle[j];
+        let actual = rec.actual();
+        let total = actual * self.straggle[j];
         let id = self.next_attempt_id;
         self.next_attempt_id += 1;
         let att = Attempt {
             id,
             task,
+            slot,
             start: time,
+            actual,
             total,
             done: Time::ZERO,
             last: time,
@@ -1080,9 +1209,9 @@ impl<'a, 'b> Run<'a, 'b> {
                 && self.engine.placement.allows(att.task, MachineId::new(w))
         });
         match host {
-            Some(w) => self.start_attempt(time, w, att.task, true),
+            Some(w) => self.start_attempt(time, w, att.task, att.slot, true),
             None => {
-                self.spec_queue.push_back(att.task);
+                self.spec_queue.push_back((att.task, att.slot));
                 self.wake_parked(time);
             }
         }

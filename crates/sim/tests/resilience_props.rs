@@ -1,17 +1,152 @@
-//! Property tests on the resilience engine: replication is the
-//! fault-tolerance mechanism.
+//! Property tests on the resilience engine.
 //!
-//! The invariant mirrors the Hadoop motivation: if every task's data
-//! lives on at least two distinct machines and fewer than two machines
-//! ever fail (crash or outage), no task can strand — the run always
-//! completes, with a finite makespan no better than the fault-free one.
+//! Differential: the incremental pending column must reproduce the
+//! per-dispatch snapshot reference path
+//! ([`ResilienceEngine::run_snapshot_oracle`]) exactly — traces,
+//! schedules, outcomes and metrics — under arbitrary placements, fault
+//! scripts, dispatchers and speculation settings.
+//!
+//! Replication is the fault-tolerance mechanism. The invariant mirrors
+//! the Hadoop motivation: if every task's data lives on at least two
+//! distinct machines and fewer than two machines ever fail (crash or
+//! outage), no task can strand — the run always completes, with a
+//! finite makespan no better than the fault-free one.
 
 use proptest::prelude::*;
 use rds_core::{
-    Instance, MachineId, MachineMask, MachineSet, Placement, Realization, Time, Uncertainty,
+    Instance, MachineId, MachineMask, MachineSet, Placement, PlacementIndex, Realization, TaskId,
+    Time, Uncertainty,
 };
 use rds_sim::faults::{FaultEvent, FaultScript, ResilienceEngine, Speculation};
-use rds_sim::OrderedDispatcher;
+use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
+
+/// SplitMix64: a tiny deterministic stream for deriving test inputs
+/// from one proptest seed.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, k: usize) -> usize {
+        (self.next() % k as u64) as usize
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A placement mixing every set shape: single machines, spans, the
+/// whole cluster and arbitrary (usually non-contiguous) masks.
+fn mixed_placement(inst: &Instance, mix: &mut Mix) -> Placement {
+    let m = inst.m();
+    let sets = (0..inst.n())
+        .map(|_| match mix.below(4) {
+            0 => MachineSet::One(MachineId::new(mix.below(m))),
+            1 => {
+                let start = mix.below(m);
+                let end = start + 1 + mix.below(m - start);
+                MachineSet::Span {
+                    start: start as u32,
+                    end: end as u32,
+                }
+            }
+            2 => MachineSet::All,
+            _ => {
+                let mut mask = MachineMask::empty(m);
+                mask.insert(MachineId::new(mix.below(m)));
+                for i in 0..m {
+                    if mix.below(2) == 1 {
+                        mask.insert(MachineId::new(i));
+                    }
+                }
+                MachineSet::from_mask(m, mask)
+            }
+        })
+        .collect();
+    Placement::new(inst, sets).unwrap()
+}
+
+/// Up to `max` scripted faults of every kind, timed inside `horizon`.
+fn mixed_script(inst: &Instance, horizon: f64, max: usize, mix: &mut Mix) -> FaultScript {
+    let (n, m) = (inst.n(), inst.m());
+    let events = (0..mix.below(max + 1))
+        .map(|_| {
+            let machine = MachineId::new(mix.below(m));
+            let at = Time::of(horizon * mix.unit());
+            match mix.below(4) {
+                0 => FaultEvent::Crash { machine, at },
+                1 => FaultEvent::Outage {
+                    machine,
+                    at,
+                    down_for: Time::of(0.1 + horizon * 0.5 * mix.unit()),
+                },
+                2 => FaultEvent::Slowdown {
+                    machine,
+                    at,
+                    lasting: Time::of(0.1 + horizon * mix.unit()),
+                    speed: 0.05 + 0.9 * mix.unit(),
+                },
+                _ => FaultEvent::Straggler {
+                    task: TaskId::new(mix.below(n)),
+                    factor: 0.5 + 4.0 * mix.unit(),
+                },
+            }
+        })
+        .collect();
+    FaultScript::new(events)
+}
+
+/// Groups of `g` consecutive machines (the last one possibly shorter),
+/// task `j` on group `j mod groups`: spans that partition the tasks, so
+/// an indexed dispatcher lays the column out in its CSR rows.
+fn grouped_placement(inst: &Instance, g: usize) -> Placement {
+    let m = inst.m();
+    let groups = m.div_ceil(g);
+    let sets = (0..inst.n())
+        .map(|j| {
+            let start = (j % groups) * g;
+            MachineSet::Span {
+                start: start as u32,
+                end: (start + g).min(m) as u32,
+            }
+        })
+        .collect();
+    Placement::new(inst, sets).unwrap()
+}
+
+/// One of the dispatchers the campaigns use, built fresh: the LPT scan,
+/// the LPT order on per-machine indexed lists, or pinned queues on each
+/// task's first eligible machine.
+fn dispatcher(kind: usize, inst: &Instance, placement: &Placement) -> Box<dyn Dispatcher> {
+    match kind {
+        0 => Box::new(OrderedDispatcher::lpt_by_estimate(inst)),
+        1 | 3 => Box::new(OrderedDispatcher::indexed(
+            inst.ids_by_estimate_desc(),
+            &PlacementIndex::build(placement),
+        )),
+        2 => {
+            let pins: Vec<MachineId> = inst
+                .task_ids()
+                .map(|t| {
+                    (0..inst.m())
+                        .map(MachineId::new)
+                        .find(|&i| placement.allows(t, i))
+                        .unwrap()
+                })
+                .collect();
+            Box::new(PinnedDispatcher::new(&pins, inst.m()))
+        }
+        _ => unreachable!("dispatcher kind {kind}"),
+    }
+}
 
 /// A placement giving task `j` replicas on at least two distinct
 /// machines, plus pseudo-random extras drawn from `seed`.
@@ -133,5 +268,49 @@ proptest! {
         // with no restarts.
         prop_assert!(baseline.outcome.is_completed());
         prop_assert_eq!(baseline.metrics.restarts, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn incremental_pending_column_matches_the_snapshot_oracle(
+        est in prop::collection::vec(0.5f64..10.0, 1..40),
+        m in 1usize..8,
+        seed in any::<u64>(),
+        alpha in 1.0f64..2.0,
+        speculate in any::<bool>(),
+        kind in 0usize..4,
+    ) {
+        let mut mix = Mix(seed);
+        let inst = Instance::from_estimates(&est, m).unwrap();
+        let unc = Uncertainty::of(alpha);
+        // Kind 3 pairs the indexed dispatcher with partitioning spans,
+        // its id-embedding CSR layout.
+        let placement = if kind == 3 {
+            grouped_placement(&inst, 1 + mix.below(3))
+        } else {
+            mixed_placement(&inst, &mut mix)
+        };
+        let factors: Vec<f64> = (0..inst.n())
+            .map(|_| 1.0 / alpha + (alpha - 1.0 / alpha) * mix.unit())
+            .collect();
+        let real = Realization::from_factors(&inst, unc, &factors).unwrap();
+        let horizon = real.total().get() / m as f64 * 2.0;
+        let script = mixed_script(&inst, horizon, 8, &mut mix);
+        let mut engine = ResilienceEngine::new(&inst, &placement, &real, &script).unwrap();
+        if speculate {
+            engine = engine.with_speculation(Speculation::new(0.5 + mix.unit(), unc));
+        }
+
+        let fast = engine.run(dispatcher(kind, &inst, &placement).as_mut()).unwrap();
+        let oracle = engine
+            .run_snapshot_oracle(dispatcher(kind, &inst, &placement).as_mut())
+            .unwrap();
+        prop_assert_eq!(&fast.trace, &oracle.trace, "{:?}", script);
+        prop_assert_eq!(&fast.schedule, &oracle.schedule);
+        prop_assert_eq!(&fast.outcome, &oracle.outcome);
+        prop_assert_eq!(fast.metrics, oracle.metrics);
     }
 }
